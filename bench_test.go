@@ -675,6 +675,29 @@ func BenchmarkPooledRun(b *testing.B) {
 	})
 }
 
+// BenchmarkSweepSteadyState prices one seed of a sweep at steady state: a
+// serial detect.Sweep of b.N runs of the Figure 10 kernel with the race,
+// vet, leak and cycle detectors attached, so ns/op and allocs/op are per
+// run, with the sweep's own setup spread over b.N. It is the lane that pins
+// the sweep worker's reuse of one runtime and one detector pipeline across
+// seeds (gated by scripts/benchgate.sh).
+func BenchmarkSweepSteadyState(b *testing.B) {
+	k, ok := kernels.ByID("docker-24007-double-close")
+	if !ok {
+		b.Fatal("kernel docker-24007-double-close not registered")
+	}
+	dets := []detect.Detector{
+		detect.MustLookup("race"), detect.MustLookup("vet"),
+		detect.MustLookup("leak"), detect.MustLookup("cycle"),
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	rep := detect.Sweep(k.Buggy, detect.SweepOptions{Runs: b.N, BaseSeed: 1, Config: k.Config(1), Workers: 1}, dets...)
+	if rep.Completed != b.N {
+		b.Fatalf("completed %d of %d runs: %v", rep.Completed, b.N, rep.Verdict)
+	}
+}
+
 // BenchmarkTraceArchive prices the trace-in/verdict-out split on the same
 // contended-counter workload the RaceDetectorOverhead gates use. "record" is
 // a live run with the streaming trace/v1 Recorder attached (compare against

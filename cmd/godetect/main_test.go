@@ -153,12 +153,45 @@ func TestRecordThenReplaySweep(t *testing.T) {
 
 func TestRecordReplayFlagValidation(t *testing.T) {
 	for _, tc := range [][]string{
-		{"-kernel", "docker-abba-order", "-record", "x"},                                 // no -with
-		{"-kernel", "docker-abba-order", "-replay", "x"},                                 // no -with
+		{"-kernel", "docker-abba-order", "-record", "x"},                                  // no -with
+		{"-kernel", "docker-abba-order", "-replay", "x"},                                  // no -with
 		{"-kernel", "docker-abba-order", "-with", "race", "-replay", "x", "-record", "y"}, // both
 	} {
 		if _, stderr, code := runCLI(t, tc...); code != 2 {
 			t.Errorf("%v: exit %d, want 2; stderr:\n%s", tc, code, stderr)
 		}
+	}
+}
+
+// TestResumeWarningsGoToStderr: a -resume sweep that cannot save its
+// checkpoint, or that ignores one written under other options, says so on
+// stderr and prints the same verdict bytes as a plain sweep.
+func TestResumeWarningsGoToStderr(t *testing.T) {
+	dir := t.TempDir()
+	args := []string{"-kernel", "docker-abba-order", "-with", "race,leak", "-runs", "20"}
+	plain, stderr, code := runCLI(t, args...)
+	if code != 0 || stderr != "" {
+		t.Fatalf("plain sweep: exit %d, stderr:\n%s", code, stderr)
+	}
+
+	unwritable := filepath.Join(dir, "no-such-dir", "sweep.ckpt")
+	out, stderr, code := runCLI(t, append(args, "-resume", unwritable)...)
+	if code != 0 || out != plain {
+		t.Fatalf("unwritable checkpoint: exit %d, stdout differs from a plain sweep:\n%s", code, out)
+	}
+	if !strings.Contains(stderr, "godetect: warning:") || !strings.Contains(stderr, "checkpoint saves to "+unwritable+" failed") {
+		t.Errorf("unwritable checkpoint: stderr lacks the failed-save warning:\n%s", stderr)
+	}
+
+	other := filepath.Join(dir, "other.ckpt")
+	if _, _, code := runCLI(t, "-kernel", "docker-abba-order", "-with", "race,leak", "-runs", "20", "-seed", "9", "-resume", other); code != 0 {
+		t.Fatalf("seeding sweep: exit %d", code)
+	}
+	out, stderr, code = runCLI(t, append(args, "-resume", other)...)
+	if code != 0 || out != plain {
+		t.Fatalf("mismatched checkpoint: exit %d, stdout differs from a plain sweep:\n%s", code, out)
+	}
+	if !strings.Contains(stderr, "ignoring checkpoint "+other) || !strings.Contains(stderr, "different options") {
+		t.Errorf("mismatched checkpoint: stderr lacks the ignored-checkpoint warning:\n%s", stderr)
 	}
 }

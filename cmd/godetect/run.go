@@ -126,8 +126,17 @@ func runOne(ctx context.Context, sub submitter, kernelID string, b engineJob) in
 		fmt.Fprintln(os.Stderr, "godetect:", err)
 		return 1
 	}
-	fmt.Print(res.Text)
+	printResult(res)
 	return b.fireExit(res)
+}
+
+// printResult prints a result's canonical text to stdout and its warnings
+// to stderr, so the verdict bytes stay the same either way.
+func printResult(res *engine.Result) {
+	fmt.Print(res.Text)
+	for _, w := range res.Warnings {
+		fmt.Fprintln(os.Stderr, "godetect: warning:", w)
+	}
 }
 
 // runAll sweeps every registered kernel, folding the per-kernel exit codes
@@ -140,7 +149,7 @@ func runAll(ctx context.Context, sub submitter, b engineJob) int {
 			fmt.Fprintln(os.Stderr, "godetect:", err)
 			return 1
 		}
-		fmt.Print(res.Text)
+		printResult(res)
 		if b.fireExit(res) != 0 {
 			code = 1
 		}

@@ -48,11 +48,11 @@ type simEnv struct {
 
 // SimProgram compiles p into a sim.Program for external harnesses (the
 // offline-replay differential suite runs generated programs through the
-// detector pipeline). The final-variable environment is discarded; callers
-// that need terminal signatures go through ExploreSim instead.
+// detector pipeline). The final-variable environment is discarded, so the
+// program is safe to run from several sweep workers at once; callers that
+// need terminal signatures go through ExploreSim instead.
 func SimProgram(p *Program) sim.Program {
-	prog, _ := simProgram(p)
-	return prog
+	return compileSim(p, nil)
 }
 
 // simProgram compiles p into a sim.Program. Every invocation builds fresh
@@ -62,9 +62,16 @@ func SimProgram(p *Program) sim.Program {
 // conformance oracle explores with Workers == 1 for exactly this reason).
 func simProgram(p *Program) (prog sim.Program, envSlot **simEnv) {
 	slot := new(*simEnv)
+	return compileSim(p, slot), slot
+}
+
+// compileSim is simProgram with the slot optional: nil records nothing.
+func compileSim(p *Program, slot **simEnv) sim.Program {
 	return func(t *sim.T) {
 		env := &simEnv{p: p}
-		*slot = env
+		if slot != nil {
+			*slot = env
+		}
 		for i, d := range p.Chans {
 			if d.Nil {
 				env.chans = append(env.chans, sim.NilChan[int64]())
@@ -108,7 +115,7 @@ func simProgram(p *Program) (prog sim.Program, envSlot **simEnv) {
 			env.sems = append(env.sems, sim.NewSemaphore(t, fmt.Sprintf("sem%d", i), n))
 		}
 		env.exec(t, p.Goroutines[0])
-	}, slot
+	}
 }
 
 // exec interprets a statement list on the simulated runtime.

@@ -20,6 +20,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io/fs"
 	"os"
 	"runtime"
 	"sort"
@@ -47,19 +48,31 @@ type Verdict struct {
 	Rules []string
 }
 
-// Instance is one attached detector for a single run. Kinds and Event
-// follow event.Sink; a Result-only detector (built-in deadlock, leak,
-// cycle analysis) returns nil from Kinds and is never dispatched to —
-// all its work happens in Finish.
+// Instance is one attached detector. Kinds and Event follow event.Sink; a
+// Result-only detector (built-in deadlock, leak, cycle analysis) returns
+// nil from Kinds and is never dispatched to — all its work happens in
+// Finish.
+//
+// An instance judges one run at a time. RunAll builds fresh instances on
+// every call. A Sweep worker calls Detector.New once and reuses the
+// instance for every seed it runs, provided the instance also has a
+// Reset() method: Reset runs before each reuse and must return it to its
+// just-constructed state (vector clocks from different runs are
+// incomparable). An instance without Reset is rebuilt with New for every
+// run. After a run panics, the worker drops all its instances and builds
+// new ones, so a half-updated instance never judges the next seed.
 type Instance interface {
 	Kinds() []event.Kind
 	Event(*event.Event)
 	Finish(res *sim.Result) Verdict
 }
 
+// resetter is the optional Instance method that makes it reusable across a
+// sweep worker's runs.
+type resetter interface{ Reset() }
+
 // Detector is a registry entry: a name, a one-line description, and a
-// constructor for per-run instances (instances are single-run; vector
-// clocks from different runs are incomparable).
+// constructor for instances (see Instance for their lifecycle).
 type Detector struct {
 	Name string
 	Desc string
@@ -197,23 +210,58 @@ func (r *Report) Detected() bool {
 
 // RunAll runs prog once with every listed detector attached to the same
 // event stream — each event is produced once and fanned out by the mux —
-// then collects the verdicts. Sinks already present in cfg are kept.
+// then collects the verdicts. Sinks already present in cfg are kept. Every
+// call builds fresh detector instances and returns a Report it alone owns.
 func RunAll(cfg sim.Config, prog sim.Program, dets ...Detector) *Report {
-	return runAll(nil, cfg, prog, dets)
+	return newPipeline(dets).run(nil, cfg, prog)
 }
 
-// runAll is RunAll with an optional recycled runtime. With a pool the
-// returned Report carries a cloned Result (the pooled one is only valid
-// until the pool's next run).
-func runAll(pool *sim.RunPool, cfg sim.Config, prog sim.Program, dets []Detector) *Report {
-	insts := make([]*counted, len(dets))
-	// Full slice expression: never grow a caller-owned backing array.
-	sinks := cfg.Sinks[:len(cfg.Sinks):len(cfg.Sinks)]
+// pipeline is one attached detector set: an instance per detector behind
+// its counting wrapper, plus the buffers a run's Report is built in. RunAll
+// uses a pipeline once; a Sweep worker keeps one for every seed it runs, so
+// its pooled runtime sees the same sinks each run and keeps its event mux.
+type pipeline struct {
+	dets  []Detector
+	insts []*counted
+	// sinks is the last run's Config.Sinks: the caller's sinks, then the
+	// wrappers. stats and rep back the Report run returns.
+	sinks []event.Sink
+	stats []Stat
+	rep   Report
+	used  bool
+}
+
+func newPipeline(dets []Detector) *pipeline {
+	p := &pipeline{dets: dets, insts: make([]*counted, len(dets)), stats: make([]Stat, len(dets))}
 	for i, d := range dets {
-		insts[i] = &counted{inst: d.New(), stat: Stat{Detector: d.Name}}
-		sinks = append(sinks, insts[i])
+		p.insts[i] = &counted{inst: d.New(), stat: Stat{Detector: d.Name}}
 	}
-	cfg.Sinks = sinks
+	return p
+}
+
+// reset readies the instances for another run: Reset where they have it, a
+// fresh instance behind a fresh wrapper where they do not (the new wrapper
+// makes the runtime rebuild its mux, whose table holds the old one).
+func (p *pipeline) reset() {
+	for i, c := range p.insts {
+		if r, ok := c.inst.(resetter); ok {
+			r.Reset()
+			c.stat = Stat{Detector: p.dets[i].Name}
+		} else {
+			p.insts[i] = &counted{inst: p.dets[i].New(), stat: Stat{Detector: p.dets[i].Name}}
+		}
+	}
+}
+
+// run executes prog once, on pool when non-nil. The Report, its Result and
+// its Stats are the pipeline's and the pool's: valid until either runs
+// again. Verdicts is a fresh slice each run.
+func (p *pipeline) run(pool *sim.RunPool, cfg sim.Config, prog sim.Program) *Report {
+	if p.used {
+		p.reset()
+	}
+	p.used = true
+	cfg.Sinks = p.attach(cfg.Sinks)
 	start := time.Now()
 	var res *sim.Result
 	if pool != nil {
@@ -221,21 +269,31 @@ func runAll(pool *sim.RunPool, cfg sim.Config, prog sim.Program, dets []Detector
 	} else {
 		res = sim.Run(cfg, prog)
 	}
-	rep := &Report{Result: res}
-	for _, c := range insts {
+	return p.finish(res, start)
+}
+
+// attach returns sinks followed by the pipeline's wrappers, built in the
+// pipeline's own buffer (never in the caller's backing array).
+func (p *pipeline) attach(sinks []event.Sink) []event.Sink {
+	p.sinks = append(p.sinks[:0], sinks...)
+	for _, c := range p.insts {
+		p.sinks = append(p.sinks, c)
+	}
+	return p.sinks
+}
+
+// finish collects every instance's verdict on res, timing each Finish into
+// its detector's Stat.
+func (p *pipeline) finish(res *sim.Result, start time.Time) *Report {
+	p.rep = Report{Result: res, Verdicts: make([]Verdict, len(p.insts)), Stats: p.stats}
+	for i, c := range p.insts {
 		fs := time.Now()
-		v := c.inst.Finish(res)
+		p.rep.Verdicts[i] = c.inst.Finish(res)
 		c.stat.Elapsed += time.Since(fs)
-		rep.Verdicts = append(rep.Verdicts, v)
-		rep.Stats = append(rep.Stats, c.stat)
+		p.stats[i] = c.stat
 	}
-	rep.Elapsed = time.Since(start)
-	if pool != nil {
-		// The pooled Result is recycled on the pool's next run; the report
-		// keeps a private copy.
-		rep.Result = res.Clone()
-	}
-	return rep
+	p.rep.Elapsed = time.Since(start)
+	return &p.rep
 }
 
 // SweepOptions configures a multi-seed sweep.
@@ -264,7 +322,8 @@ type SweepOptions struct {
 	// its per-run records to (atomically) and reads back on start: records
 	// already present are not re-executed, so an interrupted sweep resumed
 	// with the same options folds to the same report as an uninterrupted
-	// one. A checkpoint written under different options is ignored.
+	// one. A checkpoint written under different options, or unreadable, is
+	// ignored, and SweepReport.Warnings says so.
 	Checkpoint string
 	// CheckpointEvery saves after that many newly completed runs (default
 	// Runs/50, floored at 10 — each save re-marshals every record, so a
@@ -282,9 +341,10 @@ type SweepOptions struct {
 	// Pool, when non-nil, is an external sim.RunPool the serial sweep path
 	// (Workers == 1) recycles runs through instead of creating its own —
 	// a job-engine worker executing many sweeps back to back keeps one
-	// warm runtime across all of them. The pool is single-owner and is NOT
-	// closed by Sweep; it is ignored when the sweep runs parallel workers
-	// (each worker owns a private pool either way).
+	// warm runtime across all of them. The pool is single-owner; Sweep
+	// closes it only after a seed panicked, which leaves it usable (its
+	// next Run starts a fresh runtime). It is ignored when the sweep runs
+	// parallel workers (each worker owns a private pool either way).
 	Pool *sim.RunPool
 	// ShardCount and ShardIndex restrict the sweep to one contiguous block
 	// of the seed range: with ShardCount > 1, only runs in shard ShardIndex
@@ -342,6 +402,11 @@ type SweepReport struct {
 	// fired a detector, Refuted when every scheduled run completed clean,
 	// Incomplete (with a reason) otherwise.
 	Verdict harness.Verdict
+	// Warnings names what went wrong beside the fold without changing it:
+	// checkpoint saves that failed, and a checkpoint that was unreadable
+	// or written under different options and so was ignored. It is
+	// process-local, like Elapsed, and never serialized.
+	Warnings []string `json:"-"`
 }
 
 // Stat returns the named detector's aggregate (zero SweepStat if absent).
@@ -369,7 +434,7 @@ type sweepRecord struct {
 
 // sweepCheckpoint is the on-disk format: Records is indexed by run with
 // nulls for seeds not yet executed, and Fingerprint guards against resuming
-// under different options (a mismatch silently starts fresh).
+// under different options (a mismatch starts fresh, with a warning).
 type sweepCheckpoint struct {
 	Fingerprint string         `json:"fingerprint"`
 	Records     []*sweepRecord `json:"records"`
@@ -424,26 +489,33 @@ func Sweep(prog sim.Program, opts SweepOptions, dets ...Detector) *SweepReport {
 
 	records := make([]*sweepRecord, opts.Runs)
 	fp := sweepFingerprint(opts, dets)
+	var warnings []string
 	if opts.Checkpoint != "" {
 		var cp sweepCheckpoint
-		if err := harness.LoadCheckpoint(opts.Checkpoint, &cp); err == nil &&
-			cp.Fingerprint == fp && len(cp.Records) == opts.Runs {
+		err := harness.LoadCheckpoint(opts.Checkpoint, &cp)
+		switch {
+		case errors.Is(err, fs.ErrNotExist):
+		case err != nil:
+			warnings = append(warnings, fmt.Sprintf("ignoring checkpoint %s, starting over: %v", opts.Checkpoint, err))
+		case cp.Fingerprint != fp:
+			warnings = append(warnings, fmt.Sprintf("ignoring checkpoint %s, starting over: written under different options (have %q, want %q)", opts.Checkpoint, cp.Fingerprint, fp))
+		case len(cp.Records) != opts.Runs:
+			warnings = append(warnings, fmt.Sprintf("ignoring checkpoint %s, starting over: it holds %d records, want %d", opts.Checkpoint, len(cp.Records), opts.Runs))
+		default:
 			copy(records, cp.Records)
 		}
 	}
-	var worklist []int
-	for i := lo; i < hi; i++ {
-		if records[i] == nil {
-			worklist = append(worklist, i)
-		}
-	}
-
+	// The runs still to execute are those of [lo, hi) no checkpoint record
+	// covers, dispatched in order straight off records: a large sweep
+	// starts its first run at once instead of listing every seed first.
+	// Reading records[i] before dispatching i is race-free: workers only
+	// store records of runs already dispatched.
 	workers := opts.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > len(worklist) {
-		workers = len(worklist)
+	if workers > hi-lo {
+		workers = hi - lo
 	}
 
 	// mu guards records, the live-elapsed accumulator, and checkpoint
@@ -451,14 +523,27 @@ func Sweep(prog sim.Program, opts SweepOptions, dets ...Detector) *SweepReport {
 	var mu sync.Mutex
 	elapsed := make([]time.Duration, len(dets))
 	newDone := 0
+	saves, saveFails := 0, 0
+	var saveErr error
 	saveLocked := func() {
 		snap := sweepCheckpoint{Fingerprint: fp, Records: records}
-		// A failed save costs resumability, not correctness; the sweep
-		// itself proceeds.
-		_ = harness.SaveCheckpoint(opts.Checkpoint, &snap)
+		// A failed save costs resumability, not correctness: the sweep
+		// proceeds and the report warns.
+		saves++
+		if err := harness.SaveCheckpoint(opts.Checkpoint, &snap); err != nil {
+			if saveFails == 0 {
+				saveErr = err
+			}
+			saveFails++
+		}
 	}
-	// Each worker owns a RunPool so back-to-back seeds recycle one runtime.
-	oneRun := func(pool *sim.RunPool, i int) {
+	// Each worker owns a RunPool so back-to-back seeds recycle one runtime,
+	// and a detector pipeline so they recycle one set of instances.
+	type worker struct {
+		pool *sim.RunPool
+		pipe *pipeline
+	}
+	oneRun := func(w *worker, i int) {
 		cfg := opts.Config
 		cfg.Seed = opts.BaseSeed + int64(i)
 		if opts.InjectorFor != nil {
@@ -468,8 +553,21 @@ func Sweep(prog sim.Program, opts SweepOptions, dets ...Detector) *SweepReport {
 		if opts.RecordDir != "" {
 			rc = beginRecording(opts, i, &cfg)
 		}
+		if w.pipe == nil {
+			w.pipe = newPipeline(dets)
+		}
+		// rep, its Result and its Stats are only valid until this worker's
+		// next run, which is after every read below.
 		var rep *Report
-		runErr := harness.Capture(i, cfg.Seed, func() { rep = runAll(pool, cfg, prog, dets) })
+		runErr := harness.Capture(i, cfg.Seed, func() { rep = w.pipe.run(w.pool, cfg, prog) })
+		if runErr != nil {
+			// The panic may have left any detector instance half-updated,
+			// and a host panic unwinding through the program's deferred
+			// simulated calls can leave the pooled runtime's workers out of
+			// step with it: drop both, and start the next seed fresh.
+			w.pipe = nil
+			w.pool.Close()
+		}
 		if rc != nil {
 			rc.finish(rep)
 		}
@@ -495,32 +593,38 @@ func Sweep(prog sim.Program, opts SweepOptions, dets ...Detector) *SweepReport {
 		mu.Unlock()
 	}
 	if workers <= 1 {
-		pool := opts.Pool
-		if pool == nil {
-			pool = sim.NewRunPool()
-			defer pool.Close()
+		w := &worker{pool: opts.Pool}
+		if w.pool == nil {
+			w.pool = sim.NewRunPool()
+			defer w.pool.Close()
 		}
-		for _, i := range worklist {
+		for i := lo; i < hi; i++ {
+			if records[i] != nil {
+				continue
+			}
 			if ctx.Err() != nil {
 				break
 			}
-			oneRun(pool, i)
+			oneRun(w, i)
 		}
 	} else {
 		var wg sync.WaitGroup
 		next := make(chan int)
-		for w := 0; w < workers; w++ {
+		for range workers {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				pool := sim.NewRunPool()
-				defer pool.Close()
+				w := &worker{pool: sim.NewRunPool()}
+				defer w.pool.Close()
 				for i := range next {
-					oneRun(pool, i)
+					oneRun(w, i)
 				}
 			}()
 		}
-		for _, i := range worklist {
+		for i := lo; i < hi; i++ {
+			if records[i] != nil {
+				continue
+			}
 			if ctx.Err() != nil {
 				break
 			}
@@ -533,9 +637,15 @@ func Sweep(prog sim.Program, opts SweepOptions, dets ...Detector) *SweepReport {
 		mu.Lock()
 		saveLocked()
 		mu.Unlock()
+		if saveFails > 0 {
+			warnings = append(warnings, fmt.Sprintf("%d of %d checkpoint saves to %s failed; the sweep cannot resume from them: %v",
+				saveFails, saves, opts.Checkpoint, saveErr))
+		}
 	}
 
-	return foldSweep(opts, dets, records, lo, hi, elapsed, ctx.Err())
+	out := foldSweep(opts, dets, records, lo, hi, elapsed, ctx.Err())
+	out.Warnings = warnings
+	return out
 }
 
 // foldSweep builds the seed-order report from per-run records over the

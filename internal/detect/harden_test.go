@@ -2,8 +2,10 @@ package detect
 
 import (
 	"context"
+	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -126,6 +128,28 @@ func stripElapsed(rep *SweepReport) *SweepReport {
 	return &cp
 }
 
+// countedInstance calls onFinish on every verdict its inner instance gives:
+// one call per executed run, however often the sweep builds instances.
+type countedInstance struct {
+	Instance
+	onFinish func()
+}
+
+func (c *countedInstance) Finish(res *sim.Result) Verdict {
+	c.onFinish()
+	return c.Instance.Finish(res)
+}
+
+// Reset forwards, so the sweep reuses the wrapped instance as it would the
+// bare one.
+func (c *countedInstance) Reset() { c.Instance.(resetter).Reset() }
+
+func countingDetector(d Detector, onFinish func()) Detector {
+	return Detector{Name: d.Name, Desc: d.Desc, New: func() Instance {
+		return &countedInstance{Instance: d.New(), onFinish: onFinish}
+	}}
+}
+
 // TestSweepCheckpointResumeFoldsIdentically is the resumability contract: a
 // sweep interrupted mid-flight and resumed from its checkpoint folds to the
 // same report as one that was never interrupted — and the resumed sweep only
@@ -137,16 +161,15 @@ func TestSweepCheckpointResumeFoldsIdentically(t *testing.T) {
 	cp := filepath.Join(t.TempDir(), "sweep.json")
 	opts := SweepOptions{Runs: 40, BaseSeed: 7, Workers: 1, Checkpoint: cp, CheckpointEvery: 5}
 
-	// Leg 1: cancel after ~15 runs via a counting detector constructor.
+	// Leg 1: cancel after ~15 runs via a detector counting its verdicts.
 	ctx, cancel := context.WithCancel(context.Background())
 	executed := 0
-	counting := Detector{Name: race.Name, Desc: race.Desc, New: func() Instance {
+	counting := countingDetector(race, func() {
 		executed++
 		if executed == 15 {
 			cancel()
 		}
-		return race.New()
-	}}
+	})
 	o1 := opts
 	o1.Context = ctx
 	partial := Sweep(hardenProg, o1, counting)
@@ -156,16 +179,13 @@ func TestSweepCheckpointResumeFoldsIdentically(t *testing.T) {
 
 	// Leg 2: resume from the checkpoint, no cancellation.
 	executed2 := 0
-	counting2 := Detector{Name: race.Name, Desc: race.Desc, New: func() Instance {
-		executed2++
-		return race.New()
-	}}
+	counting2 := countingDetector(race, func() { executed2++ })
 	resumed := Sweep(hardenProg, opts, counting2)
 	if resumed.Completed != 40 {
 		t.Fatalf("resumed sweep completed %d of 40: %+v", resumed.Completed, resumed.Verdict)
 	}
 	if executed2 >= 40 {
-		t.Fatalf("resume re-executed everything (%d constructor calls); checkpoint was ignored", executed2)
+		t.Fatalf("resume re-executed everything (%d runs judged); checkpoint was ignored", executed2)
 	}
 	if executed2+partial.Completed != 40 {
 		t.Fatalf("leg1 completed %d, leg2 executed %d; together they must cover exactly 40", partial.Completed, executed2)
@@ -184,6 +204,66 @@ func TestSweepCheckpointFingerprintMismatchStartsFresh(t *testing.T) {
 	rep := Sweep(hardenProg, SweepOptions{Runs: 10, BaseSeed: 8, Workers: 1, Checkpoint: cp}, race)
 	if rep.Completed != 10 {
 		t.Fatalf("mismatched checkpoint: completed %d, want a full fresh sweep", rep.Completed)
+	}
+}
+
+// stripWarnings is stripElapsed without the process-local warnings either:
+// the deterministic fold alone.
+func stripWarnings(rep *SweepReport) *SweepReport {
+	cp := stripElapsed(rep)
+	cp.Warnings = nil
+	return cp
+}
+
+// TestSweepWarnsOnFailedCheckpointSave: a checkpoint that cannot be written
+// costs resumability, never the fold — and the report says so.
+func TestSweepWarnsOnFailedCheckpointSave(t *testing.T) {
+	race := MustLookup("race")
+	plain := Sweep(hardenProg, SweepOptions{Runs: 30, BaseSeed: 7, Workers: 1}, race)
+	if len(plain.Warnings) != 0 {
+		t.Fatalf("plain sweep warned: %q", plain.Warnings)
+	}
+	cp := filepath.Join(t.TempDir(), "no-such-dir", "sweep.json")
+	rep := Sweep(hardenProg, SweepOptions{Runs: 30, BaseSeed: 7, Workers: 1, Checkpoint: cp, CheckpointEvery: 10}, race)
+	if !reflect.DeepEqual(stripWarnings(rep), stripWarnings(plain)) {
+		t.Fatalf("failed saves changed the fold:\n%+v\n%+v", stripWarnings(rep), stripWarnings(plain))
+	}
+	if len(rep.Warnings) != 1 || !strings.Contains(rep.Warnings[0], "4 of 4 checkpoint saves") ||
+		!strings.Contains(rep.Warnings[0], cp) {
+		t.Fatalf("Warnings = %q, want one naming the 4 failed saves to %s", rep.Warnings, cp)
+	}
+}
+
+// TestSweepWarnsOnIgnoredCheckpoint: a checkpoint the sweep cannot resume
+// from — written under other options, or unreadable — is ignored with a
+// warning, and the fold is that of a fresh sweep. A matching checkpoint
+// resumes silently.
+func TestSweepWarnsOnIgnoredCheckpoint(t *testing.T) {
+	race := MustLookup("race")
+	dir := t.TempDir()
+	fresh := Sweep(hardenProg, SweepOptions{Runs: 10, BaseSeed: 8, Workers: 1}, race)
+
+	mismatched := filepath.Join(dir, "other-options.json")
+	Sweep(hardenProg, SweepOptions{Runs: 10, BaseSeed: 7, Workers: 1, Checkpoint: mismatched}, race)
+	corrupt := filepath.Join(dir, "corrupt.json")
+	if err := os.WriteFile(corrupt, []byte("{torn"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for path, want := range map[string]string{mismatched: "different options", corrupt: "decoding checkpoint"} {
+		rep := Sweep(hardenProg, SweepOptions{Runs: 10, BaseSeed: 8, Workers: 1, Checkpoint: path}, race)
+		if !reflect.DeepEqual(stripWarnings(rep), stripWarnings(fresh)) {
+			t.Fatalf("%s: fold differs from a fresh sweep:\n%+v\n%+v", path, stripWarnings(rep), stripWarnings(fresh))
+		}
+		if len(rep.Warnings) != 1 || !strings.Contains(rep.Warnings[0], "ignoring checkpoint "+path) ||
+			!strings.Contains(rep.Warnings[0], want) {
+			t.Fatalf("%s: Warnings = %q, want one saying it was ignored (%s)", path, rep.Warnings, want)
+		}
+		// The sweep overwrote the file with its own records: resuming
+		// from it is now silent.
+		again := Sweep(hardenProg, SweepOptions{Runs: 10, BaseSeed: 8, Workers: 1, Checkpoint: path}, race)
+		if len(again.Warnings) != 0 {
+			t.Fatalf("%s: resuming a matching checkpoint warned: %q", path, again.Warnings)
+		}
 	}
 }
 

@@ -41,30 +41,17 @@ func RunAllTrace(r io.Reader, dets ...Detector) (*Report, error) {
 	return replayRun(tr, dets)
 }
 
-// replayRun judges the current frame of tr, mirroring runAll's counted
-// dispatch and Finish loop over the archived stream and Result.
+// replayRun judges the current frame of tr through a fresh pipeline,
+// dispatching the archived stream through the same per-kind mux the
+// simulation used.
 func replayRun(tr *trace.Reader, dets []Detector) (*Report, error) {
-	insts := make([]*counted, len(dets))
-	sinks := make([]event.Sink, len(dets))
-	for i, d := range dets {
-		insts[i] = &counted{inst: d.New(), stat: Stat{Detector: d.Name}}
-		sinks[i] = insts[i]
-	}
+	p := newPipeline(dets)
 	start := time.Now()
-	res, err := tr.Replay(event.NewMux(sinks))
+	res, err := tr.Replay(event.NewMux(p.attach(nil)))
 	if err != nil {
 		return nil, err
 	}
-	rep := &Report{Result: res}
-	for _, c := range insts {
-		fs := time.Now()
-		v := c.inst.Finish(res)
-		c.stat.Elapsed += time.Since(fs)
-		rep.Verdicts = append(rep.Verdicts, v)
-		rep.Stats = append(rep.Stats, c.stat)
-	}
-	rep.Elapsed = time.Since(start)
-	return rep, nil
+	return p.finish(res, start), nil
 }
 
 // traceFingerprint identifies a sweep's archive. Unlike sweepFingerprint it

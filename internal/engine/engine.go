@@ -327,6 +327,10 @@ type Result struct {
 	ShardCheckpoint []byte `json:"shardCheckpoint,omitempty"`
 	// CacheHit marks results served from the store without execution.
 	CacheHit bool `json:"cacheHit,omitempty"`
+	// Warnings are the executing sweep's SweepReport.Warnings (failed
+	// checkpoint saves, an ignored checkpoint). Like CacheHit they describe
+	// this execution, not the verdict, so the store never keeps them.
+	Warnings []string `json:"warnings,omitempty"`
 }
 
 // cached is the store payload: the deterministic portion of a Result.

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"os"
+	"path/filepath"
 	"sort"
 	"strings"
 
@@ -122,13 +123,14 @@ func (e *Engine) execSweep(ctx context.Context, pool *sim.RunPool, job Job) (*Re
 			// The shard sweeps into a private temp checkpoint whose bytes
 			// ship back in the result: same writer, same bytes as a shard
 			// run against a -resume base, no shared filesystem needed.
-			tmp, terr := os.CreateTemp("", "godetect-shard-*.ck")
+			// A fresh directory, not an empty temp file: the sweep would
+			// warn that an empty file is no checkpoint it can resume.
+			tmpDir, terr := os.MkdirTemp("", "godetect-shard-*")
 			if terr != nil {
 				return nil, fmt.Errorf("engine: inline shard checkpoint: %w", terr)
 			}
-			tmpPath := tmp.Name()
-			tmp.Close()
-			defer os.Remove(tmpPath)
+			defer os.RemoveAll(tmpDir)
+			tmpPath := filepath.Join(tmpDir, "shard.ck")
 			opts.Checkpoint = tmpPath
 			sw = detect.Sweep(r.prog, opts, dets...)
 			if shardBytes, err = os.ReadFile(tmpPath); err != nil {
@@ -173,7 +175,8 @@ func (e *Engine) execSweep(ctx context.Context, pool *sim.RunPool, job Job) (*Re
 			fmt.Fprintf(&b, "    replay: %s\n", cmd)
 		}
 	}
-	return &Result{Job: job, Text: b.String(), Fired: fired, Verdict: sw.Verdict, Sweep: sw, ShardCheckpoint: shardBytes}, nil
+	return &Result{Job: job, Text: b.String(), Fired: fired, Verdict: sw.Verdict, Sweep: sw,
+		ShardCheckpoint: shardBytes, Warnings: sw.Warnings}, nil
 }
 
 // execRun is the plain seeded sampling sweep — the paper's

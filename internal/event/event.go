@@ -16,7 +16,9 @@
 // # Dispatch cost model
 //
 // A Sink declares the event kinds it wants via Kinds(); NewMux buckets the
-// sinks into a [NumKinds][]Sink array once, at run start. Emitting is then
+// sinks into a [NumKinds][]Sink array once, at run start (a pooled runtime
+// keeps the array across runs while the sink list stays the same, see
+// Mux.Serves). Emitting is then
 //
 //	sinks := mux.byKind[ev.Kind]   // one array index
 //	for _, s := range sinks { s.Event(ev) }
@@ -39,7 +41,11 @@
 // flushed SchedStep) — that is where a streaming sink flushes its output.
 package event
 
-import "goconcbugs/internal/hb"
+import (
+	"reflect"
+
+	"goconcbugs/internal/hb"
+)
 
 // Kind identifies the operation an Event describes. Kinds are deliberately
 // fine-grained — one per distinct emission point in the runtime — so a
@@ -293,7 +299,9 @@ type Event struct {
 // Sink consumes a run's event stream.
 type Sink interface {
 	// Kinds returns the event kinds this sink wants to receive. It is
-	// consulted once, when the run's Mux is built.
+	// consulted once, when a Mux is built; a pooled runtime reuses that Mux
+	// for every run given the same sink, so the answer must not change
+	// over the sink's lifetime.
 	Kinds() []Kind
 	// Event delivers one event. See Event's ownership rules.
 	Event(ev *Event)
@@ -310,6 +318,11 @@ type RunEnder interface {
 type Mux struct {
 	byKind [NumKinds][]Sink
 	enders []RunEnder
+	// sinks is a private copy of the list the table was built from, for
+	// Serves. It lives in buf when it fits, so the copy costs no
+	// allocation of its own.
+	sinks []Sink
+	buf   [8]Sink
 }
 
 // NewMux builds the dispatch table for sinks. Sinks appear in each kind's
@@ -321,6 +334,7 @@ func NewMux(sinks []Sink) *Mux {
 		return nil
 	}
 	m := &Mux{}
+	m.sinks = append(m.buf[:0], sinks...)
 	for _, s := range sinks {
 		if s == nil {
 			continue
@@ -338,6 +352,37 @@ func NewMux(sinks []Sink) *Mux {
 		}
 	}
 	return m
+}
+
+// Serves reports whether m is the table NewMux(sinks) would build: the same
+// sinks in the same order, compared by identity. A nil Mux serves the empty
+// list. Only pointer sinks (and nil) have an identity to compare; a list
+// holding any other sink never matches, so the caller rebuilds — it is what
+// lets a pooled runtime keep one Mux across runs without trusting values
+// whose comparison could panic.
+func (m *Mux) Serves(sinks []Sink) bool {
+	if m == nil {
+		return len(sinks) == 0
+	}
+	if len(m.sinks) != len(sinks) {
+		return false
+	}
+	for i, s := range sinks {
+		if !sameSink(m.sinks[i], s) {
+			return false
+		}
+	}
+	return true
+}
+
+// sameSink is identity: both nil, or the same pointer. Interfaces holding
+// different dynamic types compare unequal without panicking, so checking
+// one side's kind is enough.
+func sameSink(a, b Sink) bool {
+	if a == nil || b == nil {
+		return a == b
+	}
+	return reflect.TypeOf(a).Kind() == reflect.Pointer && a == b
 }
 
 // Wants reports whether any sink subscribed to k — the emission-site guard

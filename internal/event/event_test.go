@@ -74,3 +74,42 @@ func TestKindStringsAreDistinct(t *testing.T) {
 		seen[s] = k
 	}
 }
+
+// valueSink is a sink with no identity: a non-pointer type.
+type valueSink struct{ kinds []Kind }
+
+func (v valueSink) Kinds() []Kind { return v.kinds }
+func (valueSink) Event(*Event)    {}
+
+func TestMuxServesSameSinksOnly(t *testing.T) {
+	a := &recorder{kinds: []Kind{MemRead}}
+	b := &recorder{kinds: []Kind{ChanSend}}
+	m := NewMux([]Sink{a, b})
+	if !m.Serves([]Sink{a, b}) {
+		t.Error("Serves(same sinks, same order) = false")
+	}
+	for name, sinks := range map[string][]Sink{
+		"reordered": {b, a},
+		"shorter":   {a},
+		"longer":    {a, b, a},
+		"other":     {a, &recorder{kinds: []Kind{ChanSend}}},
+		"empty":     nil,
+	} {
+		if m.Serves(sinks) {
+			t.Errorf("Serves(%s) = true", name)
+		}
+	}
+	var none *Mux
+	if !none.Serves(nil) || none.Serves([]Sink{a}) {
+		t.Error("a nil Mux must serve exactly the empty list")
+	}
+	// A value sink (here holding a slice, so comparing it would panic)
+	// never matches; the caller rebuilds.
+	v := valueSink{kinds: []Kind{MemRead}}
+	if NewMux([]Sink{v}).Serves([]Sink{v}) {
+		t.Error("Serves matched a value sink")
+	}
+	if !NewMux([]Sink{nil, a}).Serves([]Sink{nil, a}) {
+		t.Error("Serves(nil entries) = false")
+	}
+}

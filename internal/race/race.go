@@ -84,7 +84,7 @@ type pairKey struct {
 
 // Detector observes instrumented accesses and accumulates race reports. It
 // implements sim.MemoryObserver. A Detector is single-run, single-threaded
-// state: create one per sim.Run.
+// state: create one per sim.Run, or Reset it between runs.
 type Detector struct {
 	shadowWords int
 	vars        map[int]*shadowState
@@ -108,16 +108,28 @@ func New(shadowWords int) *Detector {
 	}
 }
 
+// Reset clears the detector for another run, keeping its shadow-word budget
+// and its map and slice backings. Vector clocks from different runs are
+// incomparable, so every piece of per-run state goes. Reports returned
+// before the Reset are invalidated.
+func (d *Detector) Reset() {
+	clear(d.vars)
+	clear(d.varNames)
+	clear(d.reported)
+	d.reports = d.reports[:0]
+}
+
 var (
 	_ sim.MemoryObserver = (*Detector)(nil)
 	_ event.Sink         = (*Detector)(nil)
 )
 
+// raceKinds is the subscription every Detector shares.
+var raceKinds = []event.Kind{event.MemRead, event.MemWrite, event.MapRead, event.MapWrite}
+
 // Kinds implements event.Sink: the four memory-access kinds (plain Vars and
-// MapVars), nothing else.
-func (d *Detector) Kinds() []event.Kind {
-	return []event.Kind{event.MemRead, event.MemWrite, event.MapRead, event.MapWrite}
-}
+// MapVars), nothing else. The slice is shared; callers must not modify it.
+func (d *Detector) Kinds() []event.Kind { return raceKinds }
 
 // Event implements event.Sink.
 func (d *Detector) Event(ev *event.Event) {

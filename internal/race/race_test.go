@@ -1,6 +1,7 @@
 package race
 
 import (
+	"reflect"
 	"testing"
 
 	"goconcbugs/internal/event"
@@ -187,5 +188,38 @@ func TestNoFalsePositiveOnDisjointVars(t *testing.T) {
 	})
 	if len(d.Reports()) != 0 {
 		t.Fatalf("disjoint variables flagged: %v", d.Reports())
+	}
+}
+
+func TestKindsIsStatic(t *testing.T) {
+	a, b := New(0).Kinds(), New(0).Kinds()
+	if len(a) == 0 || !reflect.DeepEqual(a, b) {
+		t.Fatalf("Kinds() = %v then %v, want the same non-empty list", a, b)
+	}
+}
+
+// TestResetMatchesFresh: a detector Reset after one run judges the next run
+// exactly as a new detector does.
+func TestResetMatchesFresh(t *testing.T) {
+	prog := func(tt *sim.T) {
+		x := sim.NewVar[int](tt, "x")
+		tt.Go(func(ct *sim.T) { x.Store(ct, 1) })
+		x.Store(tt, 2)
+		tt.Sleep(10)
+	}
+	reused, _ := runWith(1, 0, prog)
+	if len(reused.Reports()) == 0 {
+		t.Fatal("expected a race on the first run")
+	}
+	for seed := int64(2); seed < 6; seed++ {
+		reused.Reset()
+		if len(reused.Reports()) != 0 {
+			t.Fatal("Reset kept reports")
+		}
+		sim.Run(sim.Config{Seed: seed, Sinks: []event.Sink{reused}}, prog)
+		fresh, _ := runWith(seed, 0, prog)
+		if !reflect.DeepEqual(reused.Reports(), fresh.Reports()) {
+			t.Fatalf("seed %d: reset detector reported %v, fresh %v", seed, reused.Reports(), fresh.Reports())
+		}
 	}
 }

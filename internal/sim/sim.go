@@ -349,7 +349,11 @@ func (rt *runtime) reset(cfg Config) {
 			rt.leakThreshold = half
 		}
 	}
-	rt.mux = event.NewMux(cfg.Sinks)
+	if !rt.mux.Serves(cfg.Sinks) {
+		// A pooled runtime handed the same sinks as last run (a sweep
+		// worker's reused detector pipeline) keeps its dispatch table.
+		rt.mux = event.NewMux(cfg.Sinks)
+	}
 	if rt.wants(event.Sched) {
 		if rt.sched == nil {
 			rt.sched = &schedState{}

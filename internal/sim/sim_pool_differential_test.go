@@ -133,3 +133,45 @@ func TestPooledResultCloneSurvivesRecycling(t *testing.T) {
 		t.Fatalf("cloned Result mutated by later pooled runs:\n  got:  %+v\n  want: %+v", first, want)
 	}
 }
+
+// kindCounter counts the events it receives.
+type kindCounter struct {
+	kinds []event.Kind
+	n     int
+}
+
+func (c *kindCounter) Kinds() []event.Kind { return c.kinds }
+func (c *kindCounter) Event(*event.Event)  { c.n++ }
+
+// TestPooledMuxFollowsSinkChanges: a pool keeps its event mux only while
+// each run hands it the same sinks. Reused, swapped, dropped and re-added
+// sinks must each see exactly the events a fresh run delivers.
+func TestPooledMuxFollowsSinkChanges(t *testing.T) {
+	k, ok := kernels.ByID("cockroachdb-6111-status")
+	if !ok {
+		t.Fatal("kernel cockroachdb-6111-status not registered")
+	}
+	all := &kindCounter{kinds: event.AllKinds()}
+	mem := &kindCounter{kinds: []event.Kind{event.MemRead, event.MemWrite}}
+	pool := sim.NewRunPool()
+	defer pool.Close()
+	for i, sinks := range [][]*kindCounter{{all}, {all}, {mem}, nil, {all, mem}, {mem, all}, {mem, all}} {
+		cfg := k.Config(int64(i))
+		var fresh []*kindCounter
+		pc, fc := cfg, cfg
+		for _, s := range sinks {
+			s.n = 0
+			f := &kindCounter{kinds: s.kinds}
+			fresh = append(fresh, f)
+			pc.Sinks = append(pc.Sinks, s)
+			fc.Sinks = append(fc.Sinks, f)
+		}
+		pool.Run(pc, k.Buggy)
+		sim.Run(fc, k.Buggy)
+		for j, s := range sinks {
+			if s.n != fresh[j].n || s.n == 0 {
+				t.Fatalf("run %d sink %d: pooled saw %d events, fresh %d", i, j, s.n, fresh[j].n)
+			}
+		}
+	}
+}

@@ -77,8 +77,9 @@ type waitRecord struct {
 	endVC hb.VC
 }
 
-// Monitor is the rule checker. Create one per run (single-run state, no
-// locking needed: the simulated runtime is sequential).
+// Monitor is the rule checker. Create one per run, or Reset it between runs
+// (single-run state, no locking needed: the simulated runtime is
+// sequential).
 type Monitor struct {
 	violations []Violation
 	waits      map[string][]*waitRecord // WaitGroup name -> waits seen
@@ -95,6 +96,16 @@ func New() *Monitor {
 		openWait: map[string][]*waitRecord{},
 		reported: map[string]bool{},
 	}
+}
+
+// Reset clears the monitor for another run, keeping its map backings. The
+// violations slice is dropped, not truncated: Violations hands it out, and
+// a caller may still hold the previous run's findings.
+func (m *Monitor) Reset() {
+	m.violations = nil
+	clear(m.waits)
+	clear(m.openWait)
+	clear(m.reported)
 }
 
 var (
@@ -117,15 +128,22 @@ var vetKindOps = map[event.Kind]sim.SyncOp{
 	event.WGWaitEnd:       sim.OpWGWaitEnd,
 }
 
-// Kinds implements event.Sink: only the rule-relevant kinds, so a vetted
-// run pays nothing for memory accesses, lock traffic, or scheduling events.
-func (m *Monitor) Kinds() []event.Kind {
-	out := make([]event.Kind, 0, len(vetKindOps))
-	for k := range vetKindOps {
-		out = append(out, k)
+// vetKinds is vetKindOps' key set in kind order, the subscription every
+// Monitor shares.
+var vetKinds = func() []event.Kind {
+	var out []event.Kind
+	for k := event.KindInvalid + 1; k < event.NumKinds; k++ {
+		if _, ok := vetKindOps[k]; ok {
+			out = append(out, k)
+		}
 	}
 	return out
-}
+}()
+
+// Kinds implements event.Sink: only the rule-relevant kinds, so a vetted
+// run pays nothing for memory accesses, lock traffic, or scheduling events.
+// The slice is shared and in kind order; callers must not modify it.
+func (m *Monitor) Kinds() []event.Kind { return vetKinds }
 
 // Event implements event.Sink by translating the event into the SyncEvent
 // vocabulary the rule logic consumes. The live VC and HeldLocks slices are

@@ -1,6 +1,7 @@
 package vet
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -232,5 +233,44 @@ func TestDuplicateViolationsDeduped(t *testing.T) {
 	}
 	if n != 1 {
 		t.Fatalf("chan-in-critical reported %d times, want deduped to 1", n)
+	}
+}
+
+func TestKindsIsStaticAndOrdered(t *testing.T) {
+	a, b := New().Kinds(), New().Kinds()
+	if len(a) != len(vetKindOps) || !reflect.DeepEqual(a, b) {
+		t.Fatalf("Kinds() = %v then %v, want the same %d kinds", a, b, len(vetKindOps))
+	}
+	for i := 1; i < len(a); i++ {
+		if a[i-1] >= a[i] {
+			t.Fatalf("Kinds() = %v, want ascending kind order", a)
+		}
+	}
+}
+
+// TestResetMatchesFresh: a monitor Reset after one run judges the next run
+// exactly as a new monitor does, and findings handed out before the Reset
+// survive it.
+func TestResetMatchesFresh(t *testing.T) {
+	for _, k := range kernels.All() {
+		reused := New()
+		var first, firstCopy []Violation
+		for seed := int64(1); seed <= 3; seed++ {
+			reused.Reset()
+			cfg := k.Config(seed)
+			cfg.Sinks = append(cfg.Sinks, reused)
+			sim.Run(cfg, k.Buggy)
+			fresh, _ := Check(k.Config(seed), k.Buggy)
+			if !reflect.DeepEqual(reused.Violations(), fresh.Violations()) {
+				t.Fatalf("%s seed %d: reset monitor found %v, fresh %v", k.ID, seed, reused.Violations(), fresh.Violations())
+			}
+			if seed == 1 {
+				first = reused.Violations()
+				firstCopy = append([]Violation(nil), first...)
+			}
+		}
+		if !reflect.DeepEqual(first, firstCopy) {
+			t.Fatalf("%s: later runs overwrote the first run's findings", k.ID)
+		}
 	}
 }

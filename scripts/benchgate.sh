@@ -20,6 +20,9 @@
 #     (recycled runtime on the same workload: must stay 0 allocs/op and
 #     beat the fresh-run lane by the ISSUE-6 margin)
 #   BenchmarkPooledRun/with-detector                - pooled + one sink
+#   BenchmarkSweepSteadyState                       - one seed of a serial
+#     detect.Sweep with race, vet, leak and cycle (per run: the worker's
+#     reused runtime and detector pipeline must keep allocations down)
 #   BenchmarkTraceArchive/record                    - judged run + Recorder
 #     (the archive-while-sweeping lane; gated so codec changes cannot
 #     silently tax recording sweeps)
@@ -46,7 +49,7 @@ cd "$(dirname "$0")/.."
 
 BASELINE=testdata/bench_baseline.txt
 SLACK_PCT=${BENCHGATE_SLACK_PCT:-15}
-BENCHES='BenchmarkRaceDetectorOverhead|BenchmarkDetectorPipeline/single-pass|BenchmarkFaultInjection/off|BenchmarkPooledRun|BenchmarkTraceArchive/(record|replay)$|BenchmarkEngineSubmit/(cold|warm|coalesced)$|BenchmarkStoreGet$'
+BENCHES='BenchmarkRaceDetectorOverhead|BenchmarkDetectorPipeline/single-pass|BenchmarkFaultInjection/off|BenchmarkPooledRun|BenchmarkSweepSteadyState$|BenchmarkTraceArchive/(record|replay)$|BenchmarkEngineSubmit/(cold|warm|coalesced)$|BenchmarkStoreGet$'
 
 raw=$(go test -bench "$BENCHES" -benchtime 1000x -count 6 -benchmem -run '^$' . | grep -E '^Benchmark')
 

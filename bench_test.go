@@ -698,6 +698,27 @@ func BenchmarkSweepSteadyState(b *testing.B) {
 	}
 }
 
+// BenchmarkSweepParallel is BenchmarkSweepSteadyState with two workers: the
+// parallel sweep path, where workers claim seeds from a shared cursor, each
+// on its own reused runtime and detector pipeline. ns/op and allocs/op are
+// per run (gated by scripts/benchgate.sh).
+func BenchmarkSweepParallel(b *testing.B) {
+	k, ok := kernels.ByID("docker-24007-double-close")
+	if !ok {
+		b.Fatal("kernel docker-24007-double-close not registered")
+	}
+	dets := []detect.Detector{
+		detect.MustLookup("race"), detect.MustLookup("vet"),
+		detect.MustLookup("leak"), detect.MustLookup("cycle"),
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	rep := detect.Sweep(k.Buggy, detect.SweepOptions{Runs: b.N, BaseSeed: 1, Config: k.Config(1), Workers: 2}, dets...)
+	if rep.Completed != b.N {
+		b.Fatalf("completed %d of %d runs: %v", rep.Completed, b.N, rep.Verdict)
+	}
+}
+
 // BenchmarkTraceArchive prices the trace-in/verdict-out split on the same
 // contended-counter workload the RaceDetectorOverhead gates use. "record" is
 // a live run with the streaming trace/v1 Recorder attached (compare against

@@ -6,7 +6,6 @@ import (
 	"runtime"
 	"sort"
 	"strings"
-	"sync"
 	"time"
 
 	"goconcbugs/internal/event"
@@ -442,26 +441,14 @@ func Sweep(opts SweepOptions) *SweepStats {
 	}
 	results := make([]*CheckResult, opts.Programs)
 	errs := make([]*harness.RunError, opts.Programs)
-	var wg sync.WaitGroup
-	next := make(chan int)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range next {
-				seed := opts.BaseSeed + int64(i)
-				errs[i] = harness.Capture(i, seed, func() {
-					results[i] = CheckSeed(seed, opts.Check)
-				})
-			}
-		}()
-	}
-	dispatched := 0
-	for ; dispatched < opts.Programs && ctx.Err() == nil; dispatched++ {
-		next <- dispatched
-	}
-	close(next)
-	wg.Wait()
+	harness.Fan(ctx, workers, 0, opts.Programs, func(c *harness.Cursor) {
+		for i, ok := c.Claim(); ok; i, ok = c.Claim() {
+			seed := opts.BaseSeed + int64(i)
+			errs[i] = harness.Capture(i, seed, func() {
+				results[i] = CheckSeed(seed, opts.Check)
+			})
+		}
+	})
 
 	st := &SweepStats{Programs: opts.Programs, HostKinds: map[string]int{}, KindCoverage: map[StmtKind]int{}}
 	for i, r := range results {

@@ -341,10 +341,9 @@ type SweepOptions struct {
 	// Pool, when non-nil, is an external sim.RunPool the serial sweep path
 	// (Workers == 1) recycles runs through instead of creating its own —
 	// a job-engine worker executing many sweeps back to back keeps one
-	// warm runtime across all of them. The pool is single-owner; Sweep
-	// closes it only after a seed panicked, which leaves it usable (its
-	// next Run starts a fresh runtime). It is ignored when the sweep runs
-	// parallel workers (each worker owns a private pool either way).
+	// warm runtime across all of them. The pool is single-owner and
+	// Sweep never closes it. It is ignored when the sweep runs parallel
+	// workers (each worker owns a private pool either way).
 	Pool *sim.RunPool
 	// ShardCount and ShardIndex restrict the sweep to one contiguous block
 	// of the seed range: with ShardCount > 1, only runs in shard ShardIndex
@@ -506,10 +505,10 @@ func Sweep(prog sim.Program, opts SweepOptions, dets ...Detector) *SweepReport {
 		}
 	}
 	// The runs still to execute are those of [lo, hi) no checkpoint record
-	// covers, dispatched in order straight off records: a large sweep
-	// starts its first run at once instead of listing every seed first.
-	// Reading records[i] before dispatching i is race-free: workers only
-	// store records of runs already dispatched.
+	// covers: workers claim indices in order and skip the recorded ones, so
+	// a large sweep starts its first run at once instead of listing every
+	// seed first. Reading records[i] after claiming i is race-free: only
+	// the worker that claimed i stores it.
 	workers := opts.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -518,23 +517,25 @@ func Sweep(prog sim.Program, opts SweepOptions, dets ...Detector) *SweepReport {
 		workers = hi - lo
 	}
 
-	// mu guards records, the live-elapsed accumulator, and checkpoint
-	// writes; records entries are immutable once stored.
-	var mu sync.Mutex
+	// st's mutex guards records, the live-elapsed accumulator, and
+	// checkpoint writes; records entries are immutable once stored. One
+	// struct, so the workers' closures share one heap cell for all of it.
+	var st struct {
+		sync.Mutex
+		newDone, saves, saveFails int
+		saveErr                   error
+	}
 	elapsed := make([]time.Duration, len(dets))
-	newDone := 0
-	saves, saveFails := 0, 0
-	var saveErr error
 	saveLocked := func() {
 		snap := sweepCheckpoint{Fingerprint: fp, Records: records}
 		// A failed save costs resumability, not correctness: the sweep
 		// proceeds and the report warns.
-		saves++
+		st.saves++
 		if err := harness.SaveCheckpoint(opts.Checkpoint, &snap); err != nil {
-			if saveFails == 0 {
-				saveErr = err
+			if st.saveFails == 0 {
+				st.saveErr = err
 			}
-			saveFails++
+			st.saveFails++
 		}
 	}
 	// Each worker owns a RunPool so back-to-back seeds recycle one runtime,
@@ -561,12 +562,10 @@ func Sweep(prog sim.Program, opts SweepOptions, dets ...Detector) *SweepReport {
 		var rep *Report
 		runErr := harness.Capture(i, cfg.Seed, func() { rep = w.pipe.run(w.pool, cfg, prog) })
 		if runErr != nil {
-			// The panic may have left any detector instance half-updated,
-			// and a host panic unwinding through the program's deferred
-			// simulated calls can leave the pooled runtime's workers out of
-			// step with it: drop both, and start the next seed fresh.
+			// The panic may have left any detector instance half-updated:
+			// start the next seed on a fresh pipeline. The pool recovers
+			// by itself.
 			w.pipe = nil
-			w.pool.Close()
 		}
 		if rc != nil {
 			rc.finish(rep)
@@ -579,67 +578,39 @@ func Sweep(prog sim.Program, opts SweepOptions, dets ...Detector) *SweepReport {
 				rec.Events[di] = rep.Stats[di].Events
 			}
 		}
-		mu.Lock()
+		st.Lock()
 		records[i] = rec
 		if rep != nil {
 			for di := range dets {
 				elapsed[di] += rep.Stats[di].Elapsed
 			}
 		}
-		newDone++
-		if opts.Checkpoint != "" && newDone%opts.CheckpointEvery == 0 {
+		st.newDone++
+		if opts.Checkpoint != "" && st.newDone%opts.CheckpointEvery == 0 {
 			saveLocked()
 		}
-		mu.Unlock()
+		st.Unlock()
 	}
-	if workers <= 1 {
+	harness.Fan(ctx, workers, lo, hi, func(c *harness.Cursor) {
+		// Only a serial sweep may borrow the caller's pool.
 		w := &worker{pool: opts.Pool}
-		if w.pool == nil {
+		if w.pool == nil || workers > 1 {
 			w.pool = sim.NewRunPool()
 			defer w.pool.Close()
 		}
-		for i := lo; i < hi; i++ {
-			if records[i] != nil {
-				continue
+		for i, ok := c.Claim(); ok; i, ok = c.Claim() {
+			if records[i] == nil {
+				oneRun(w, i)
 			}
-			if ctx.Err() != nil {
-				break
-			}
-			oneRun(w, i)
 		}
-	} else {
-		var wg sync.WaitGroup
-		next := make(chan int)
-		for range workers {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				w := &worker{pool: sim.NewRunPool()}
-				defer w.pool.Close()
-				for i := range next {
-					oneRun(w, i)
-				}
-			}()
-		}
-		for i := lo; i < hi; i++ {
-			if records[i] != nil {
-				continue
-			}
-			if ctx.Err() != nil {
-				break
-			}
-			next <- i
-		}
-		close(next)
-		wg.Wait()
-	}
+	})
 	if opts.Checkpoint != "" {
-		mu.Lock()
+		st.Lock()
 		saveLocked()
-		mu.Unlock()
-		if saveFails > 0 {
+		st.Unlock()
+		if st.saveFails > 0 {
 			warnings = append(warnings, fmt.Sprintf("%d of %d checkpoint saves to %s failed; the sweep cannot resume from them: %v",
-				saveFails, saves, opts.Checkpoint, saveErr))
+				st.saveFails, st.saves, opts.Checkpoint, st.saveErr))
 		}
 	}
 

@@ -14,6 +14,7 @@ import (
 	"reflect"
 	"testing"
 
+	"goconcbugs/internal/event"
 	"goconcbugs/internal/harness"
 	"goconcbugs/internal/inject"
 	"goconcbugs/internal/kernels"
@@ -158,6 +159,56 @@ func TestReusedPipelineMatchesFreshAfterPanics(t *testing.T) {
 			if rec.Err != nil {
 				panicked++
 			}
+		}
+		if n := matchFresh(t, label, k.Buggy, opts, dets, recs); n != reuseSeeds-panicked {
+			t.Fatalf("%s: compared %d runs, want the %d that did not panic", label, n, reuseSeeds-panicked)
+		}
+	}
+}
+
+// exitBoomInstance panics on a GoExit event at a step divisible by 4: a sink
+// bug hit on a goroutine's exit path, outside the goroutine's body. Which
+// seeds hit it is a deterministic function of the schedule.
+type exitBoomInstance struct{}
+
+func (exitBoomInstance) Kinds() []event.Kind { return []event.Kind{event.GoExit} }
+func (exitBoomInstance) Event(ev *event.Event) {
+	if ev.Step%4 == 0 {
+		panic("detector bug: GoExit")
+	}
+}
+func (exitBoomInstance) Finish(*sim.Result) Verdict { return Verdict{Detector: "exit-boom"} }
+
+// TestSweepSurvivesGoExitSinkPanic: a detector panicking on GoExit, outside
+// any goroutine body, must not take down the process. Sweep records exactly
+// the seeds whose fresh RunAll panics as errored runs, and every other seed
+// — including those after a panic, on the same worker — matches a fresh
+// RunAll.
+func TestSweepSurvivesGoExitSinkPanic(t *testing.T) {
+	k, ok := kernels.ByID("docker-24007-double-close")
+	if !ok {
+		t.Fatal("kernel docker-24007-double-close not registered")
+	}
+	boom := Detector{Name: "exit-boom", Desc: "panics on some GoExit events", New: func() Instance { return exitBoomInstance{} }}
+	dets := append([]Detector{boom}, All()...)
+	for _, workers := range []int{1, 4} {
+		opts := SweepOptions{Runs: reuseSeeds, BaseSeed: 1, Config: k.Config(1), Workers: workers}
+		label := fmt.Sprintf("workers=%d", workers)
+		recs := sweepRecords(t, k.Buggy, opts, dets)
+		panicked := 0
+		for i, rec := range recs {
+			cfg := opts.Config
+			cfg.Seed = opts.BaseSeed + int64(i)
+			fresh := harness.Capture(i, cfg.Seed, func() { RunAll(cfg, k.Buggy, dets...) })
+			if (rec.Err != nil) != (fresh != nil) {
+				t.Fatalf("%s: run %d (seed %d): sweep error %v, fresh RunAll error %v", label, i, cfg.Seed, rec.Err, fresh)
+			}
+			if rec.Err != nil {
+				panicked++
+			}
+		}
+		if panicked == 0 || panicked == reuseSeeds {
+			t.Fatalf("%s: %d of %d runs panicked; the test needs both kinds", label, panicked, reuseSeeds)
 		}
 		if n := matchFresh(t, label, k.Buggy, opts, dets, recs); n != reuseSeeds-panicked {
 			t.Fatalf("%s: compared %d runs, want the %d that did not panic", label, n, reuseSeeds-panicked)

@@ -11,7 +11,6 @@ package explore
 import (
 	"context"
 	"runtime"
-	"sync"
 
 	"goconcbugs/internal/event"
 	"goconcbugs/internal/harness"
@@ -174,36 +173,13 @@ func Run(prog sim.Program, opts Options) *Stats {
 		}
 		outcomes[i] = out
 	}
-	if workers == 1 {
+	harness.Fan(ctx, workers, 0, opts.Runs, func(c *harness.Cursor) {
 		pool := sim.NewRunPool()
 		defer pool.Close()
-		for i := 0; i < opts.Runs; i++ {
-			if ctx.Err() != nil {
-				break
-			}
+		for i, ok := c.Claim(); ok; i, ok = c.Claim() {
 			oneRun(pool, i)
 		}
-	} else {
-		var wg sync.WaitGroup
-		next := make(chan int)
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				pool := sim.NewRunPool()
-				defer pool.Close()
-				for i := range next {
-					oneRun(pool, i)
-				}
-			}()
-		}
-		dispatched := 0
-		for ; dispatched < opts.Runs && ctx.Err() == nil; dispatched++ {
-			next <- dispatched
-		}
-		close(next)
-		wg.Wait()
-	}
+	})
 
 	st := &Stats{Runs: opts.Runs, FirstManifestRun: -1, FirstDetectedRun: -1, RacyVars: map[string]int{}}
 	for i := 0; i < opts.Runs; i++ {

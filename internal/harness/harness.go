@@ -2,9 +2,9 @@
 // exploration harnesses (detect.Sweep, explore.Systematic, the conformance
 // sweep). It provides the structured error taxonomy the harnesses report
 // instead of crashing (a panic in one detector or kernel must not take down
-// a thousand-run sweep), bounded retry for flaky host-side subprocesses,
-// and atomic JSON checkpoints so an interrupted sweep resumes instead of
-// restarting.
+// a thousand-run sweep), the fan-out that spreads a sweep's runs over its
+// workers, bounded retry for flaky host-side subprocesses, and atomic JSON
+// checkpoints so an interrupted sweep resumes instead of restarting.
 package harness
 
 import (
@@ -16,6 +16,8 @@ import (
 	"os"
 	"path/filepath"
 	"runtime/debug"
+	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -295,4 +297,47 @@ func Shard(n, count, index int) (lo, hi int) {
 		n = 0
 	}
 	return n * index / count, n * (index + 1) / count
+}
+
+// Cursor hands out the indices of a half-open range, in order, to workers
+// sharing it (see Fan).
+type Cursor struct {
+	ctx  context.Context
+	next atomic.Int64
+	hi   int64
+}
+
+// Claim checks the context, then takes the next index. It reports false
+// once the context is done or the range is exhausted.
+func (c *Cursor) Claim() (int, bool) {
+	if c.ctx.Err() != nil {
+		return 0, false
+	}
+	i := c.next.Add(1) - 1
+	return int(i), i < c.hi
+}
+
+// Fan runs work on workers goroutines (on the caller's goroutine when
+// workers <= 1), all claiming from one Cursor over [lo, hi), and returns
+// once every call has returned. Each index is claimed at most once, and the
+// claimed indices always form a prefix of the range, so workers that run
+// everything they claim leave a run cut short by ctx covering [lo, k) for
+// some k. Per-worker state (a RunPool, say) lives in work, around its claim
+// loop.
+func Fan(ctx context.Context, workers, lo, hi int, work func(c *Cursor)) {
+	c := &Cursor{ctx: ctx, hi: int64(hi)}
+	c.next.Store(int64(lo))
+	if workers <= 1 {
+		work(c)
+		return
+	}
+	var wg sync.WaitGroup
+	for range workers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			work(c)
+		}()
+	}
+	wg.Wait()
 }

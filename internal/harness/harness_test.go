@@ -6,6 +6,8 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -311,5 +313,58 @@ func TestShardPanicsOnBadIndex(t *testing.T) {
 			}()
 			Shard(10, bad[0], bad[1])
 		}()
+	}
+}
+
+// TestFanClaimsEachIndexOnce: every index of [lo, hi) goes to exactly one
+// worker, serially and in parallel.
+func TestFanClaimsEachIndexOnce(t *testing.T) {
+	for _, workers := range []int{0, 1, 4} {
+		const lo, hi = 3, 503
+		var mu sync.Mutex
+		seen := map[int]int{}
+		Fan(context.Background(), workers, lo, hi, func(c *Cursor) {
+			for i, ok := c.Claim(); ok; i, ok = c.Claim() {
+				mu.Lock()
+				seen[i]++
+				mu.Unlock()
+			}
+		})
+		if len(seen) != hi-lo {
+			t.Fatalf("workers=%d: %d distinct indices claimed, want %d", workers, len(seen), hi-lo)
+		}
+		for i, n := range seen {
+			if i < lo || i >= hi || n != 1 {
+				t.Fatalf("workers=%d: index %d claimed %d times", workers, i, n)
+			}
+		}
+	}
+}
+
+// TestFanCancelLeavesPrefix: a run cut short by its context has claimed a
+// prefix of the range, and claims nothing once the context is done.
+func TestFanCancelLeavesPrefix(t *testing.T) {
+	for _, workers := range []int{1, 4} {
+		ctx, cancel := context.WithCancel(context.Background())
+		var claimed sync.Map
+		var n atomic.Int64
+		Fan(ctx, workers, 0, 1000, func(c *Cursor) {
+			for i, ok := c.Claim(); ok; i, ok = c.Claim() {
+				claimed.Store(i, true)
+				if n.Add(1) == 100 {
+					cancel()
+				}
+			}
+		})
+		cancel()
+		total := int(n.Load())
+		if total < 100 || total >= 1000 {
+			t.Fatalf("workers=%d: %d indices claimed, want at least 100 and fewer than all", workers, total)
+		}
+		for i := 0; i < total; i++ {
+			if _, ok := claimed.Load(i); !ok {
+				t.Fatalf("workers=%d: %d indices claimed but %d is missing: not a prefix", workers, total, i)
+			}
+		}
 	}
 }

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"iter"
 
 	"goconcbugs/internal/event"
 	"goconcbugs/internal/hb"
@@ -111,10 +112,13 @@ type blockInfo struct {
 	obj  string
 }
 
-// G is one simulated goroutine. With run pooling (RunPool), a G is a
-// long-lived slot: the same G — and its parked host worker goroutine — is
-// re-assigned a fresh identity by spawn on every run, so the resume channel,
-// clock backing, held-locks backing, and name caches all survive across runs.
+// G is one simulated goroutine, executed as a coroutine (iter.Pull) that
+// the runtime's driver loop resumes whenever the scheduler picks it. A G is a
+// long-lived slot: with run pooling (RunPool) the same G — and its coroutine,
+// parked between assignments — is re-assigned a fresh identity by spawn on
+// every run, so the coroutine, clock backing, held-locks backing, and name
+// caches all survive across runs; a released runtime hands its idle Gs to a
+// process-wide free list for the next runtime (releaseCoroutines, allocG).
 type G struct {
 	id           int
 	name         string
@@ -125,17 +129,24 @@ type G struct {
 	createdStep  int64
 	createdTime  int64
 	endTime      int64
-	resume       chan struct{}
 	vc           hb.VC
 	rt           *runtime
+	// resume runs the coroutine until it next suspends; suspend (the
+	// coroutine's yield) returns control to whoever resumed it; stop ends
+	// the coroutine. busy is set while an assignment runs: a G whose
+	// coroutine is parked between assignments can be recycled.
+	resume  func() (struct{}, bool)
+	suspend func(struct{}) bool
+	stop    func()
+	busy    bool
 	// blockKindOverride relabels blocking inside library code built on
 	// channels (Pipe) so reports attribute the wait to the library call.
 	blockKindOverride BlockKind
 	// held lists the lock names this goroutine currently holds, for
 	// monitors that check channel-under-lock patterns.
 	held []string
-	// fn is the program body the worker loop runs when the first CPU token
-	// arrives; t is the goroutine's embedded operation handle (one fewer
+	// fn is the program body the coroutine runs on its next assignment;
+	// t is the goroutine's embedded operation handle (one fewer
 	// allocation per spawn, and a stable *T across pooled runs).
 	fn Program
 	t  T
@@ -214,11 +225,13 @@ func (rt *runtime) spawn(name string, fn Program) *G {
 }
 
 // allocG returns the G for the next slot in rt.gs. Slot i of a pooled
-// runtime always yields the same *G (and the same parked worker) run after
+// runtime always yields the same *G (and the same parked coroutine) run after
 // run: reset trims rt.gs to length 0 but keeps the backing, so the pointers
 // beyond the length survive and are picked back up here. A slot never
 // recycles within one run — a finished goroutine keeps its record until
-// finalize — so slot identity is exactly goroutine identity.
+// finalize — so slot identity is exactly goroutine identity. A new slot
+// takes an idle G from the process-wide free list before starting a new
+// coroutine.
 func (rt *runtime) allocG() *G {
 	n := len(rt.gs)
 	if n < cap(rt.gs) {
@@ -229,38 +242,43 @@ func (rt *runtime) allocG() *G {
 	} else {
 		rt.gs = append(rt.gs, nil)
 	}
-	g := &G{
-		// The CPU token travels through resume; capacity 1 lets a waker
-		// hand off and proceed to its own park without a rendezvous.
-		resume: make(chan struct{}, 1),
-		rt:     rt,
+	g := idleGs.take()
+	if g == nil {
+		g = new(G)
+		g.resume, g.stop = iter.Pull(g.loop)
 	}
+	g.rt = rt
 	g.t = T{rt: rt, g: g}
-	rt.gs[len(rt.gs)-1] = g
-	go g.loop()
+	rt.gs[n] = g
 	return g
 }
 
-// loop is the persistent host worker behind one G slot. Each received token
-// is the first CPU token of one assignment (one run's goroutine body, or a
-// teardown kill for a goroutine that never got to run); the worker parks
-// here between runs and exits when the runtime closes the channel
-// (releaseWorkers / RunPool.Close).
-func (g *G) loop() {
-	for range g.resume {
+// loop is the coroutine body behind one G. Each resume from between
+// assignments starts the next assignment (one run's goroutine body, or a
+// teardown kill for a goroutine that never got to run); the coroutine parks
+// at the yield below between assignments and returns once stopped.
+func (g *G) loop(yield func(struct{}) bool) {
+	g.suspend = yield
+	for {
+		g.busy = true
 		g.runAssigned()
+		g.busy = false
+		if !yield(struct{}{}) {
+			return
+		}
 	}
 }
 
 // runAssigned executes the goroutine body assigned by spawn, reproducing the
-// exit protocol: hand the CPU token onward on normal or killed completion,
-// handshake with teardown on a kill sentinel, and crash the simulated
-// process on a simulated panic.
+// exit protocol: pick the next goroutine (the driver resumes it once this
+// coroutine suspends) on normal or killed completion, just record the final
+// state on a teardown kill, and end the simulated process on a simulated
+// panic. A panic escaping this handler (a sink panicking on GoExit) ends the
+// coroutine and reaches the Run caller through the driver's resume.
 func (g *G) runAssigned() {
 	rt := g.rt
 	if rt.killing {
 		g.finalState = GAbandoned
-		rt.dead <- struct{}{}
 		return
 	}
 	defer func() {
@@ -273,16 +291,9 @@ func (g *G) runAssigned() {
 			if rt.wants(event.GoExit) {
 				rt.emit(g, event.Event{Kind: event.GoExit})
 			}
-			// Hand the CPU token onward; this worker then parks until
-			// its next assignment.
-			if next := rt.dispatch(); next != nil {
-				rt.wake(next)
-			} else {
-				rt.endRun()
-			}
+			rt.handoff = rt.dispatch()
 		case killSentinelType:
 			g.finalState = g.block.preTeardownState()
-			rt.dead <- struct{}{}
 		case *injectedKill:
 			// An injected FaultKill: the goroutine dies silently
 			// mid-protocol. Its held locks stay held and whatever
@@ -295,11 +306,7 @@ func (g *G) runAssigned() {
 			if rt.wants(event.GoExit) {
 				rt.emit(g, event.Event{Kind: event.GoExit, Obj: v.obj, Detail: "injected kill"})
 			}
-			if next := rt.dispatch(); next != nil {
-				rt.wake(next)
-			} else {
-				rt.endRun()
-			}
+			rt.handoff = rt.dispatch()
 		case *simPanic:
 			rt.panics = append(rt.panics, PanicInfo{
 				G: g.id, Name: g.name, Msg: v.msg, Step: rt.step,
@@ -312,8 +319,7 @@ func (g *G) runAssigned() {
 			}
 			// A simulated panic crashes the whole simulated
 			// process, as an unrecovered panic would.
-			rt.stopping = true
-			rt.endRun()
+			rt.handoff = nil
 		default:
 			// A genuine bug in the harness or kernel code (a
 			// non-simulated panic): record it and stop; Run
@@ -322,8 +328,7 @@ func (g *G) runAssigned() {
 			g.state = GPanicked
 			g.finalState = GPanicked
 			rt.hostPanic = r
-			rt.stopping = true
-			rt.endRun()
+			rt.handoff = nil
 		}
 	}()
 	g.fn(&g.t)
@@ -390,29 +395,30 @@ func (t *T) GoNamed(name string, fn Program) {
 	t.yield()
 }
 
-// park waits for the CPU token to come back. Every suspension funnels
-// through here so teardown can unwind cleanly.
+// park suspends the goroutine until the driver resumes it. Every
+// suspension funnels through here so teardown can unwind cleanly: a resume
+// during teardown, or a stop, unwinds the body with the kill sentinel.
 func (t *T) park() {
-	<-t.g.resume
-	if t.rt.killing {
+	if !t.g.suspend(struct{}{}) || t.rt.killing {
 		panic(killSentinel)
 	}
 }
 
-// reschedule runs one scheduler step on this goroutine's host thread and
-// transfers the CPU token to whoever was picked. It returns when this
-// goroutine is picked (immediately, without any host-level handoff, when the
-// pick continues the current goroutine).
+// reschedule runs one scheduler step on this goroutine's coroutine and, when
+// someone else was picked, suspends until the driver resumes this goroutine
+// (immediately, without any switch, when the pick continues the current
+// goroutine). During teardown it re-raises the kill sentinel instead: a
+// simulated call deferred in a goroutine being unwound must not schedule.
 func (t *T) reschedule() {
-	next := t.rt.dispatch()
+	rt := t.rt
+	if rt.killing {
+		panic(killSentinel)
+	}
+	next := rt.dispatch()
 	if next == t.g {
-		return // continue running; zero host context switches
+		return // continue running; zero coroutine switches
 	}
-	if next != nil {
-		t.rt.wake(next)
-	} else {
-		t.rt.endRun()
-	}
+	rt.handoff = next
 	t.park()
 }
 

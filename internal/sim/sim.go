@@ -213,35 +213,36 @@ func (r *Result) Failed() bool {
 // Run executes main under cfg and returns the outcome. It is safe to call
 // concurrently from multiple host goroutines; each run is self-contained.
 // Loops that execute many runs back-to-back should prefer a RunPool, which
-// recycles the whole runtime between runs.
+// recycles the whole runtime between runs. A Run leaves no host goroutine
+// running; the only ones it may leave behind are coroutines parked on the
+// process-wide free list for later runs, at most maxIdleGs of them.
 func Run(cfg Config, main Program) *Result {
 	rt := newRuntime(cfg)
+	// Also on a panic escaping the run: no coroutine is left stranded.
+	defer rt.releaseCoroutines()
 	rt.execute(main)
 	if rt.hostPanic != nil {
 		// A non-simulated panic in program code is a bug in the
 		// caller's code: propagate it on the caller's goroutine.
-		rt.releaseWorkers()
 		panic(rt.hostPanic)
 	}
-	res := rt.finalize()
-	rt.releaseWorkers()
-	return res
+	return rt.finalize()
 }
 
-// execute drives one run of main to completion: spawn, first dispatch, wait
-// for the end, unwind stragglers.
+// execute drives one run of main to completion on the caller's goroutine:
+// spawn main, then resume whichever goroutine the latest scheduler step
+// picked until a step picks none, then unwind stragglers. The scheduler
+// steps themselves execute inline on the simulated goroutine handing off
+// the CPU (reschedule, runAssigned), which records its pick in rt.handoff
+// and suspends back to this loop.
 func (rt *runtime) execute(main Program) {
 	rt.spawn("main", main)
-	// The first dispatch necessarily picks main (the only goroutine);
-	// after that, scheduling decisions execute inline on whichever
-	// simulated goroutine is handing off the CPU, and this caller simply
-	// waits for the run to end.
-	if g := rt.dispatch(); g != nil {
-		rt.wake(g)
-	} else {
-		rt.endRun()
+	// The first dispatch necessarily picks main (the only goroutine).
+	for g := rt.dispatch(); g != nil; g = rt.handoff {
+		g.state = GRunning
+		rt.handoff = nil
+		g.resume()
 	}
-	<-rt.done
 	rt.teardown()
 }
 
@@ -255,10 +256,8 @@ type runtime struct {
 	step          int64
 	timers        timerHeap
 	timerSeq      int64
-	done          chan struct{} // capacity 1; endRun -> Run caller
-	dead          chan struct{} // killed goroutine -> Run caller during teardown
+	handoff       *G // the goroutine the driver resumes next; nil ends the run
 	killing       bool
-	stopping      bool
 	outcome       Outcome
 	deadlockMsg   string
 	panics        []PanicInfo
@@ -300,17 +299,14 @@ type runtime struct {
 }
 
 func newRuntime(cfg Config) *runtime {
-	rt := &runtime{
-		done: make(chan struct{}, 1),
-		dead: make(chan struct{}),
-	}
+	rt := &runtime{}
 	rt.reset(cfg)
 	return rt
 }
 
 // reset prepares the runtime for a fresh run under cfg, recycling every
 // backing the previous run grew: the goroutine slots (and their parked
-// workers), the primitive arena, the timer heap, scratch buffers, and the
+// coroutines), the primitive arena, the timer heap, scratch buffers, and the
 // seeded source. It is the single initialization path — newRuntime calls it
 // on a zero runtime — so fresh and pooled runs cannot drift.
 func (rt *runtime) reset(cfg Config) {
@@ -321,8 +317,8 @@ func (rt *runtime) reset(cfg Config) {
 	rt.step = 0
 	rt.timers = rt.timers[:0]
 	rt.timerSeq = 0
+	rt.handoff = nil
 	rt.killing = false
-	rt.stopping = false
 	rt.outcome = OutcomeOK
 	rt.deadlockMsg = ""
 	rt.panics = rt.panics[:0]
@@ -365,14 +361,21 @@ func (rt *runtime) reset(cfg Config) {
 	}
 }
 
-// releaseWorkers shuts down the parked host workers behind every goroutine
-// slot. After it returns the runtime cannot run again; a plain Run calls it
-// before returning so no host goroutines outlive the call, and RunPool calls
-// it from Close.
-func (rt *runtime) releaseWorkers() {
+// releaseCoroutines gives up the coroutines behind every goroutine slot: those
+// parked between assignments go to the process-wide free list while it has
+// room, and every other one is stopped (a coroutine stranded mid-body by a
+// panic that escaped the run unwinds with the kill sentinel). After it
+// returns the runtime cannot run again; a plain Run calls it before
+// returning, so no host goroutine outlives the call beyond the free list's
+// cap, and RunPool calls it from Close.
+func (rt *runtime) releaseCoroutines() {
+	rt.killing = true
 	for _, g := range rt.gs[:cap(rt.gs)] {
-		if g != nil {
-			close(g.resume)
+		if g == nil {
+			continue
+		}
+		if g.busy || !idleGs.put(g) {
+			g.stop()
 		}
 	}
 	rt.gs = nil
@@ -437,11 +440,12 @@ func (rt *runtime) random() *rand.Rand {
 // nil when the run is over (quiescent, deadlocked, or out of steps), with
 // rt.outcome/rt.deadlockMsg already recorded.
 //
-// Exactly one simulated goroutine executes at any moment — control moves by
-// direct handoff, so dispatch always runs on whichever host goroutine holds
-// the CPU token (the yielding/blocking/exiting goroutine, or the Run caller
-// for the first step). All simulated state is therefore free of host-level
-// data races by construction, without a scheduler goroutine in the middle.
+// Exactly one simulated goroutine executes at any moment: each is a
+// coroutine, and the Run caller's driver loop (execute) resumes one at a
+// time. dispatch runs inline on whichever party holds control (the
+// yielding/blocking/exiting goroutine, or the driver for the first step),
+// so all simulated state is free of host-level data races by construction,
+// without a scheduler goroutine in the middle.
 func (rt *runtime) dispatch() *G {
 	for {
 		if rt.step >= rt.maxSteps {
@@ -484,15 +488,6 @@ func (rt *runtime) dispatch() *G {
 	}
 }
 
-// endRun marks the run finished and releases the Run caller. The calling
-// simulated goroutine (if any) must park itself afterwards and touch no
-// shared runtime state: teardown runs concurrently on the caller's host
-// goroutine from here on. The buffered send (exactly one per run) keeps the
-// channel reusable across pooled runs, unlike a close.
-func (rt *runtime) endRun() {
-	rt.done <- struct{}{}
-}
-
 // choose picks among n scheduling options, via the Chooser when one is
 // configured (systematic exploration) and the seeded source otherwise.
 // preferred is the option continuing the currently running goroutine, -1
@@ -512,13 +507,6 @@ func (rt *runtime) choose(n, preferred int) int {
 		return idx
 	}
 	return rt.random().IntN(n)
-}
-
-// wake hands the CPU token to g. The caller must immediately park, exit, or
-// (for the Run caller) start waiting on rt.done.
-func (rt *runtime) wake(g *G) {
-	g.state = GRunning
-	g.resume <- struct{}{}
 }
 
 // runnable collects the runnable goroutines into a scratch buffer that is
@@ -569,15 +557,16 @@ func (rt *runtime) deadlockReport(blocked []*G) string {
 	return msg
 }
 
-// teardown unwinds every still-parked simulated goroutine so that a Run
-// leaves no host goroutines behind.
+// teardown resumes every still-live simulated goroutine once with killing
+// set, which unwinds a mid-body one with the kill sentinel and marks a
+// never-started one abandoned, so every coroutine ends parked between
+// assignments, ready for the next run or the free list.
 func (rt *runtime) teardown() {
 	rt.killing = true
 	for _, g := range rt.gs {
 		switch g.state {
 		case GRunnable, GBlocked:
-			g.resume <- struct{}{}
-			<-rt.dead
+			g.resume()
 		}
 	}
 }
@@ -585,7 +574,7 @@ func (rt *runtime) teardown() {
 func (rt *runtime) finalize() *Result {
 	// Deliver the final transition's metadata: no further pick will flush
 	// it. Safe here — finalize runs on Run's caller after every simulated
-	// goroutine has parked or exited. RunEnd then tells streaming sinks
+	// goroutine has been unwound. RunEnd then tells streaming sinks
 	// the event stream is complete.
 	rt.schedFlush()
 	if rt.mux != nil {

@@ -23,6 +23,9 @@
 #   BenchmarkSweepSteadyState                       - one seed of a serial
 #     detect.Sweep with race, vet, leak and cycle (per run: the worker's
 #     reused runtime and detector pipeline must keep allocations down)
+#   BenchmarkSweepParallel                          - the same sweep with
+#     two workers claiming seeds from a shared cursor (the parallel path's
+#     per-run fan-out cost)
 #   BenchmarkTraceArchive/record                    - judged run + Recorder
 #     (the archive-while-sweeping lane; gated so codec changes cannot
 #     silently tax recording sweeps)
@@ -49,7 +52,7 @@ cd "$(dirname "$0")/.."
 
 BASELINE=testdata/bench_baseline.txt
 SLACK_PCT=${BENCHGATE_SLACK_PCT:-15}
-BENCHES='BenchmarkRaceDetectorOverhead|BenchmarkDetectorPipeline/single-pass|BenchmarkFaultInjection/off|BenchmarkPooledRun|BenchmarkSweepSteadyState$|BenchmarkTraceArchive/(record|replay)$|BenchmarkEngineSubmit/(cold|warm|coalesced)$|BenchmarkStoreGet$'
+BENCHES='BenchmarkRaceDetectorOverhead|BenchmarkDetectorPipeline/single-pass|BenchmarkFaultInjection/off|BenchmarkPooledRun|BenchmarkSweepSteadyState$|BenchmarkSweepParallel$|BenchmarkTraceArchive/(record|replay)$|BenchmarkEngineSubmit/(cold|warm|coalesced)$|BenchmarkStoreGet$'
 
 raw=$(go test -bench "$BENCHES" -benchtime 1000x -count 6 -benchmem -run '^$' . | grep -E '^Benchmark')
 
